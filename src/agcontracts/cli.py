@@ -509,18 +509,22 @@ def _query_main(path: str, args: list[str]) -> int:
     as_json = "--json" in args
     command = [a for a in args if a != "--json"]
     try:
-        spec = load_spec(path)
-        result = run_command(spec, command)
-    except OSError as err:
+        result = run_command(load_spec(path), command)
+        if as_json:
+            output = json.dumps(result.to_json_dict(), indent=2, sort_keys=True)
+        else:
+            output = result.to_text()
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except RecursionError:
+        # formula traversal and printing recurse once per nesting level
+        print("error: a formula nests too deeply to process", file=sys.stderr)
         return 2
-    if as_json:
-        print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
-    else:
-        print(result.to_text())
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    print(output)
     for note in result.diagnostics:
         print(note, file=sys.stderr)
     return 1 if result.verdict is False else 0

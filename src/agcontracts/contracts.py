@@ -15,14 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from agcontracts.core import Assertion, State, Theory, VarSet, VarSetMismatchError
-
-
-def _require_same_space(c1: "Contract", c2: "Contract") -> None:
-    if c1.varset != c2.varset or c1.theory != c2.theory:
-        raise VarSetMismatchError(
-            f"contracts live over different spaces: {c1.varset} vs {c2.varset}"
-        )
+from agcontracts.core import Assertion, State, Theory, VarSet, _require_same_space
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,10 +31,7 @@ class Contract:
     G: Assertion
 
     def __post_init__(self) -> None:
-        if self.A.varset != self.G.varset or self.A.theory != self.G.theory:
-            raise VarSetMismatchError(
-                f"assumption over {self.A.varset} paired with guarantee over {self.G.varset}"
-            )
+        _require_same_space(self.A, self.G)
 
     @property
     def theory(self) -> Theory:
@@ -68,18 +58,12 @@ class Contract:
 
     def implemented_by(self, sigma: Assertion) -> bool:
         """True iff every state of ``sigma`` satisfies the contract."""
-        if sigma.varset != self.varset or sigma.theory != self.theory:
-            raise VarSetMismatchError(
-                f"component over {sigma.varset} checked against contract over {self.varset}"
-            )
+        _require_same_space(sigma, self)
         return sigma.is_subset_of(~self.A | self.G)
 
     def provided_by(self, environment: Assertion) -> bool:
         """True iff the environment stays inside the assumption."""
-        if environment.varset != self.varset or environment.theory != self.theory:
-            raise VarSetMismatchError(
-                f"environment over {environment.varset} checked against contract over {self.varset}"
-            )
+        _require_same_space(environment, self)
         return environment.is_subset_of(self.A)
 
     def max_implementation(self) -> Assertion:

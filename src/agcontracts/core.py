@@ -247,10 +247,12 @@ def enumerate_states(
         yield State.from_index(theory, varset, i)
 
 
-def _require_same_space(a: "Assertion", b: "Assertion") -> None:
+def _require_same_space(a, b) -> None:
+    """Raise :class:`VarSetMismatchError` unless two operands (states,
+    assertions, contracts or formula contracts) share theory and varset."""
     if a.varset != b.varset or a.theory != b.theory:
         raise VarSetMismatchError(
-            f"assertions live over different spaces: {a.theory.name!r} over {a.varset} "
+            f"operands live over different spaces: {a.theory.name!r} over {a.varset} "
             f"vs {b.theory.name!r} over {b.varset}"
         )
 
@@ -335,10 +337,7 @@ class Assertion:
         return self.bits & ~other.bits == 0
 
     def contains(self, state: State) -> bool:
-        if state.varset != self.varset or state.theory != self.theory:
-            raise VarSetMismatchError(
-                f"state over {state.varset} tested against assertion over {self.varset}"
-            )
+        _require_same_space(state, self)
         return self.bits >> state.index & 1 == 1
 
     def is_empty(self) -> bool:

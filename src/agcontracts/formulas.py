@@ -31,7 +31,7 @@ from agcontracts.core import (
     UnknownVariableError,
     Value,
     VarSet,
-    VarSetMismatchError,
+    _require_same_space,
 )
 from agcontracts.contracts import Contract
 
@@ -326,12 +326,6 @@ class FormulaContract:
         check_formula(self.A, self.theory, self.varset)
         check_formula(self.G, self.theory, self.varset)
 
-    def _require_same_space(self, other: "FormulaContract") -> None:
-        if self.varset != other.varset or self.theory != other.theory:
-            raise VarSetMismatchError(
-                f"formula contracts live over different spaces: {self.varset} vs {other.varset}"
-            )
-
     def to_contract(self, cap: int | None = None) -> Contract:
         """The set-level contract this denotes."""
         return Contract(
@@ -342,7 +336,7 @@ class FormulaContract:
     def refines(self, other: "FormulaContract", cap: int | None = None) -> bool:
         """Refinement decided through the denotation: both implications
         must be valid."""
-        self._require_same_space(other)
+        _require_same_space(self, other)
         full = Assertion.full(self.theory, self.varset)
         weaker_assumption = Implies(other.A, self.A)
         stronger_guarantee = Implies(_saturated_guarantee(self), _saturated_guarantee(other))
@@ -353,7 +347,7 @@ class FormulaContract:
 
     def conjoin(self, other: "FormulaContract") -> "FormulaContract":
         """Syntactic mirror of contract conjunction."""
-        self._require_same_space(other)
+        _require_same_space(self, other)
         return FormulaContract(
             self.theory,
             self.varset,
@@ -363,7 +357,7 @@ class FormulaContract:
 
     def compose(self, other: "FormulaContract") -> "FormulaContract":
         """Syntactic mirror of contract composition."""
-        self._require_same_space(other)
+        _require_same_space(self, other)
         guarantee = And(_saturated_guarantee(self), _saturated_guarantee(other))
         assumption = Or(And(self.A, other.A), Not(guarantee))
         return FormulaContract(self.theory, self.varset, assumption, guarantee)

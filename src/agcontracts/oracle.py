@@ -1,11 +1,14 @@
 """Conformance checking of the contract algebra against its metatheory.
 
-Every law the operators are supposed to satisfy is registered here as a
-named theorem with two tiers: an exhaustive tier that enumerates every
-instance over small boolean state spaces, and a randomized tier that
+Every law the operators are supposed to satisfy is one declaration in
+the theorem registry: its property, the typed signature of its
+arguments, the small boolean spaces its exhaustive tier sweeps, and the
+sampler of its randomized tier. The exhaustive tier enumerates every
+instance over those spaces from the signature alone; the randomized tier
 samples instances over larger spaces and richer theories from a seeded
 generator. A check aborts at the first counterexample and reports it in
-a serialized, replayable form.
+a serialized, replayable form, written and read back by one codec keyed
+by the signature.
 
 Checks call the operators through an :class:`AlgebraOps` bundle so a test
 can swap in a deliberately corrupted operator and confirm the oracle
@@ -18,6 +21,7 @@ depends on time or identity.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -32,6 +36,7 @@ from agcontracts.core import (
     State,
     Theory,
     VarSet,
+    enumerate_states,
     state_space_size,
 )
 from agcontracts.contracts import Contract
@@ -59,6 +64,8 @@ TERNARY = Theory(values=(0, 1, 2), name="ternary")
 
 _THEORY_FAMILY = (UNIT, BOOL, TERNARY)
 _VAR_POOL = ("x", "y", "z")
+#: largest state space the randomized tier samples over
+_RANDOMIZED_CAP = 64
 
 # enumerate an inner quantifier when the subset space is at most this
 # large; fall back to the maximal witnesses beyond (sound because
@@ -74,13 +81,12 @@ class OracleConfig:
     seed: int = 0
     trials: int = 10_000
     exhaustive_cap: int = 4
-    randomized_cap: int = 64
 
     def __post_init__(self) -> None:
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
-        if self.exhaustive_cap < 1 or self.randomized_cap < 1:
-            raise ValueError("state-space caps must be positive")
+        if self.exhaustive_cap < 1:
+            raise ValueError("the exhaustive state-space cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -225,112 +231,160 @@ def _random_formula(
     )
 
 
-# -- instance serialization ----------------------------------------------------------
-
-
-def _theory_to_json(t: Theory) -> dict:
-    return {"name": t.name, "values": list(t.values)}
-
-
-def _theory_from_json(data: dict) -> Theory:
-    return Theory(tuple(data["values"]), data["name"])
-
-
-def _assertion_to_json(a: Assertion) -> list[int]:
-    return sorted(a.indices())
-
-
-def _assertion_from_json(data: list[int], theory: Theory, varset: VarSet) -> Assertion:
-    return Assertion.from_indices(theory, varset, data)
-
-
-def _contract_to_json(c: Contract) -> dict:
-    return {"A": _assertion_to_json(c.A), "G": _assertion_to_json(c.G)}
-
-
-def _contract_from_json(data: dict, theory: Theory, varset: VarSet) -> Contract:
-    return Contract(
-        _assertion_from_json(data["A"], theory, varset),
-        _assertion_from_json(data["G"], theory, varset),
-    )
-
-
-def _space_to_json(theory: Theory, varset: VarSet) -> dict:
-    return {"theory": _theory_to_json(theory), "varset": list(varset.vars)}
-
-
-def _space_from_json(data: dict) -> tuple[Theory, VarSet]:
-    return _theory_from_json(data["theory"]), VarSet(tuple(data["varset"]))
-
-
-# -- theorem registry -----------------------------------------------------------------
+# -- theorem declarations --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Theorem:
+    """One law, declared once.
+
+    ``signature`` lists the arguments of ``prop`` after the operator
+    bundle, each as ``(counterexample key, kind, space key)``: the kind is
+    ``State``, ``Assertion``, ``Contract`` or ``FormulaContract``, and the
+    space key names the variable set it lives over. An ``Inclusion`` names
+    the space keys of its small and large sets instead and is written only
+    through them. ``spaces`` gives the exhaustive tier's assignments of
+    boolean variable sets to space keys; ``sample`` draws one randomized
+    instance.
+    """
+
     name: str
     prop: Callable[..., bool]
-    cases: Callable[[OracleConfig], Iterator[tuple]]
-    sample: Callable[[random.Random, OracleConfig], tuple]
-    serialize: Callable[..., dict]
-    deserialize: Callable[[dict], tuple]
+    signature: tuple[tuple[str, type, str | tuple[str, str]], ...]
+    spaces: Callable[[OracleConfig], list[dict[str, VarSet]]]
+    sample: Callable[[random.Random], tuple]
+
+    def cases(self, config: OracleConfig) -> Iterator[tuple]:
+        """Every exhaustive instance, the first argument varying slowest."""
+        # arguments of one kind over one space share a single pool
+        pool = lru_cache(maxsize=None)(_exhaustive_pool)
+        for spaces in self.spaces(config):
+            yield from itertools.product(
+                *(
+                    [Inclusion(spaces[space[0]], spaces[space[1]])]
+                    if kind is Inclusion
+                    else pool(kind, spaces[space])
+                    for _, kind, space in self.signature
+                )
+            )
+
+    def serialize(self, objs: tuple) -> dict:
+        """The JSON form of one instance: the theory, each variable set
+        under its space key, and each argument under its own key."""
+        data: dict = {}
+        for (key, kind, space), obj in zip(self.signature, objs):
+            if kind is Inclusion:
+                data[space[0]], data[space[1]] = list(obj.small.vars), list(obj.large.vars)
+            else:
+                data["theory"] = {"name": obj.theory.name, "values": list(obj.theory.values)}
+                data[space] = list(obj.varset.vars)
+                data[key] = _encode(kind, obj)
+        return data
+
+    def deserialize(self, data: dict) -> tuple:
+        """Inverse of :meth:`serialize`."""
+        theory = Theory(tuple(data["theory"]["values"]), data["theory"]["name"])
+
+        def varset(space: str) -> VarSet:
+            return VarSet(tuple(data[space]))
+
+        return tuple(
+            Inclusion(varset(space[0]), varset(space[1]))
+            if kind is Inclusion
+            else _decode(kind, data[key], theory, varset(space))
+            for key, kind, space in self.signature
+        )
 
 
-def _boolean_spaces(config: OracleConfig, most_states: int | None = None) -> list[VarSet]:
-    cap = config.exhaustive_cap if most_states is None else min(config.exhaustive_cap, most_states)
+def _encode(kind: type, obj):
+    if kind is State:
+        return obj.as_dict()
+    if kind is Assertion:
+        return sorted(obj.indices())
+    if kind is Contract:
+        return {"A": _encode(Assertion, obj.A), "G": _encode(Assertion, obj.G)}
+    return {"A": format_formula(obj.A), "G": format_formula(obj.G)}
+
+
+def _decode(kind: type, data, theory: Theory, varset: VarSet):
+    if kind is State:
+        return State.from_mapping(theory, varset, data)
+    if kind is Assertion:
+        return Assertion.from_indices(theory, varset, data)
+    if kind is Contract:
+        return Contract(*(_decode(Assertion, data[k], theory, varset) for k in "AG"))
+    return FormulaContract(theory, varset, *(parse_formula(data[k], theory, varset) for k in "AG"))
+
+
+def _exhaustive_pool(kind: type, varset: VarSet) -> list:
+    """Every object of one kind over a boolean variable set, in
+    enumeration order."""
+    if kind is State:
+        return list(enumerate_states(BOOL, varset))
+    if kind is Assertion:
+        return list(enumerate_assertions(BOOL, varset))
+    contracts = list(enumerate_contracts(BOOL, varset))
+    if kind is Contract:
+        return contracts
+    # representatives of every denotation class: the synthesized normal
+    # form of each assertion (formula operators factor through denotations)
     return [
-        VarSet(_VAR_POOL[:k])
-        for k in range(1, len(_VAR_POOL) + 1)
-        if 2**k <= cap
+        FormulaContract(BOOL, varset, assertion_to_formula(c.A), assertion_to_formula(c.G))
+        for c in contracts
     ]
 
 
-def _all_assertions(varset: VarSet) -> list[Assertion]:
-    return list(enumerate_assertions(BOOL, varset))
+def _boolean_spaces(most_states: int = 2 ** len(_VAR_POOL)) -> Callable[..., list[dict]]:
+    """Spaces ``{x}``, ``{x, y}``, ... under the exhaustive cap and
+    ``most_states``, each as the space key ``varset``."""
+
+    def spaces(config: OracleConfig) -> list[dict[str, VarSet]]:
+        cap = min(config.exhaustive_cap, most_states)
+        return [
+            {"varset": VarSet(_VAR_POOL[:k])}
+            for k in range(1, len(_VAR_POOL) + 1)
+            if 2**k <= cap
+        ]
+
+    return spaces
 
 
-def _all_contracts(varset: VarSet) -> list[Contract]:
-    return list(enumerate_contracts(BOOL, varset))
+_ALL = _boolean_spaces()
+_SMALL = _boolean_spaces(2)
+
+_X, _Y, _XY = VarSet.of("x"), VarSet.of("y"), VarSet.of("x", "y")
 
 
-def _sample_space(rng: random.Random, config: OracleConfig) -> tuple[Theory, VarSet]:
+def _extended_compose_spaces(config: OracleConfig) -> list[dict[str, VarSet]]:
+    spaces = [{"d1": _X, "d2": _X, "target": _X}]
+    if state_space_size(BOOL, _XY) <= config.exhaustive_cap:
+        spaces.append({"d1": _X, "d2": _Y, "target": _XY})
+    return spaces
+
+
+def _adjunction_spaces(config: OracleConfig) -> list[dict[str, VarSet]]:
+    spaces = [{"small": VarSet(()), "large": _X}, {"small": _X, "large": _X}]
+    if state_space_size(BOOL, _XY) <= config.exhaustive_cap:
+        spaces.append({"small": _Y, "large": _XY})
+    return spaces
+
+
+def _sample_space(rng: random.Random) -> tuple[Theory, VarSet]:
     theory = random_theory(rng)
-    return theory, random_varset(rng, theory, config.randomized_cap)
+    return theory, random_varset(rng, theory, _RANDOMIZED_CAP)
 
 
 # saturate_sound: satisfaction is invariant under saturation
 
 
-def _prop_saturate_sound(ops: AlgebraOps, s: State, c: Contract) -> bool:
+def _prop_saturate_sound(ops: AlgebraOps, c: Contract, s: State) -> bool:
     return c.satisfied_by(s) == ops.saturate(c).satisfied_by(s)
 
 
-def _cases_saturate_sound(config: OracleConfig) -> Iterator[tuple]:
-    for varset in _boolean_spaces(config):
-        states = [State.from_index(BOOL, varset, i) for i in range(state_space_size(BOOL, varset))]
-        for c in _all_contracts(varset):
-            for s in states:
-                yield (s, c)
-
-
-def _sample_saturate_sound(rng: random.Random, config: OracleConfig) -> tuple:
-    theory, varset = _sample_space(rng, config)
-    return (_random_state(rng, theory, varset), random_contract(rng, theory, varset))
-
-
-def _ser_saturate_sound(s: State, c: Contract) -> dict:
-    return _space_to_json(s.theory, s.varset) | {
-        "state": s.as_dict(),
-        "c": _contract_to_json(c),
-    }
-
-
-def _de_saturate_sound(data: dict) -> tuple:
-    theory, varset = _space_from_json(data)
-    return (
-        State.from_mapping(theory, varset, data["state"]),
-        _contract_from_json(data["c"], theory, varset),
-    )
+def _sample_saturate_sound(rng: random.Random) -> tuple:
+    theory, varset = _sample_space(rng)
+    s = _random_state(rng, theory, varset)
+    return (random_contract(rng, theory, varset), s)
 
 
 # saturation_idempotent: saturate . saturate = saturate
@@ -341,24 +395,9 @@ def _prop_saturation_idempotent(ops: AlgebraOps, c: Contract) -> bool:
     return ops.saturate(once) == once
 
 
-def _cases_contracts(config: OracleConfig) -> Iterator[tuple]:
-    for varset in _boolean_spaces(config):
-        for c in _all_contracts(varset):
-            yield (c,)
-
-
-def _sample_contract(rng: random.Random, config: OracleConfig) -> tuple:
-    theory, varset = _sample_space(rng, config)
+def _sample_contract(rng: random.Random) -> tuple:
+    theory, varset = _sample_space(rng)
     return (random_contract(rng, theory, varset),)
-
-
-def _ser_contract(c: Contract) -> dict:
-    return _space_to_json(c.theory, c.varset) | {"c": _contract_to_json(c)}
-
-
-def _de_contract(data: dict) -> tuple:
-    theory, varset = _space_from_json(data)
-    return (_contract_from_json(data["c"], theory, varset),)
 
 
 # refinement_order_laws: reflexive, transitive, antisymmetric up to
@@ -376,20 +415,8 @@ def _prop_order_laws(ops: AlgebraOps, c1: Contract, c2: Contract, c3: Contract) 
     return True
 
 
-def _cases_contract_triples(most_states: int) -> Callable[[OracleConfig], Iterator[tuple]]:
-    def cases(config: OracleConfig) -> Iterator[tuple]:
-        for varset in _boolean_spaces(config, most_states):
-            pool = _all_contracts(varset)
-            for c1 in pool:
-                for c2 in pool:
-                    for c3 in pool:
-                        yield (c1, c2, c3)
-
-    return cases
-
-
-def _sample_contract_chain(rng: random.Random, config: OracleConfig) -> tuple:
-    theory, varset = _sample_space(rng, config)
+def _sample_contract_chain(rng: random.Random) -> tuple:
+    theory, varset = _sample_space(rng)
     c1 = random_contract(rng, theory, varset)
     if rng.random() < 0.5:
         c2 = _random_refining(rng, c1)
@@ -398,21 +425,6 @@ def _sample_contract_chain(rng: random.Random, config: OracleConfig) -> tuple:
         c2 = random_contract(rng, theory, varset)
         c3 = random_contract(rng, theory, varset)
     return (c1, c2, c3)
-
-
-def _ser_contract_triple(c1: Contract, c2: Contract, c3: Contract) -> dict:
-    return _space_to_json(c1.theory, c1.varset) | {
-        "c1": _contract_to_json(c1),
-        "c2": _contract_to_json(c2),
-        "c3": _contract_to_json(c3),
-    }
-
-
-def _de_contract_triple(data: dict) -> tuple:
-    theory, varset = _space_from_json(data)
-    return tuple(
-        _contract_from_json(data[key], theory, varset) for key in ("c1", "c2", "c3")
-    )
 
 
 # refines_correct: refinement holds iff implementations transfer forward
@@ -450,38 +462,12 @@ def _prop_refines_correct(ops: AlgebraOps, c1: Contract, c2: Contract) -> bool:
     return ops.refines(c1, c2) == _transfer_semantics(c1, c2)
 
 
-def _cases_contract_pairs(most_states: int | None = None) -> Callable[[OracleConfig], Iterator[tuple]]:
-    def cases(config: OracleConfig) -> Iterator[tuple]:
-        for varset in _boolean_spaces(config, most_states):
-            pool = _all_contracts(varset)
-            for c1 in pool:
-                for c2 in pool:
-                    yield (c1, c2)
-
-    return cases
-
-
-def _sample_refining_pair(rng: random.Random, config: OracleConfig) -> tuple:
-    theory, varset = _sample_space(rng, config)
+def _sample_refining_pair(rng: random.Random) -> tuple:
+    theory, varset = _sample_space(rng)
     c1 = random_contract(rng, theory, varset)
     if rng.random() < 0.5:
         return (_random_refining(rng, c1), c1)
     return (c1, random_contract(rng, theory, varset))
-
-
-def _ser_contract_pair(c1: Contract, c2: Contract) -> dict:
-    return _space_to_json(c1.theory, c1.varset) | {
-        "c1": _contract_to_json(c1),
-        "c2": _contract_to_json(c2),
-    }
-
-
-def _de_contract_pair(data: dict) -> tuple:
-    theory, varset = _space_from_json(data)
-    return (
-        _contract_from_json(data["c1"], theory, varset),
-        _contract_from_json(data["c2"], theory, varset),
-    )
 
 
 # glb_correct: the conjunction is a lower bound and above every lower bound
@@ -496,8 +482,8 @@ def _prop_glb_correct(ops: AlgebraOps, c1: Contract, c2: Contract, c: Contract) 
     return True
 
 
-def _sample_glb(rng: random.Random, config: OracleConfig) -> tuple:
-    theory, varset = _sample_space(rng, config)
+def _sample_glb(rng: random.Random) -> tuple:
+    theory, varset = _sample_space(rng)
     c1 = random_contract(rng, theory, varset)
     c2 = random_contract(rng, theory, varset)
     if rng.random() < 0.5:
@@ -530,47 +516,14 @@ def _prop_compose_correct(
     return c1.provided_by(e & sigma2) and c2.provided_by(e & sigma1)
 
 
-def _cases_compose_correct(config: OracleConfig) -> Iterator[tuple]:
-    for varset in _boolean_spaces(config, 2):
-        assertions = _all_assertions(varset)
-        pool = _all_contracts(varset)
-        for c1 in pool:
-            for c2 in pool:
-                for sigma1 in assertions:
-                    for sigma2 in assertions:
-                        for e in assertions:
-                            yield (c1, c2, sigma1, sigma2, e)
-
-
-def _sample_compose_correct(rng: random.Random, config: OracleConfig) -> tuple:
-    theory, varset = _sample_space(rng, config)
+def _sample_compose_correct(rng: random.Random) -> tuple:
+    theory, varset = _sample_space(rng)
     c1 = random_contract(rng, theory, varset)
     c2 = random_contract(rng, theory, varset)
     sigma1 = _random_subset(rng, c1.max_implementation())
     sigma2 = _random_subset(rng, c2.max_implementation())
     e = _random_subset(rng, c1.compose(c2).max_environment())
     return (c1, c2, sigma1, sigma2, e)
-
-
-def _ser_compose_correct(c1, c2, sigma1, sigma2, e) -> dict:
-    return _space_to_json(c1.theory, c1.varset) | {
-        "c1": _contract_to_json(c1),
-        "c2": _contract_to_json(c2),
-        "sigma1": _assertion_to_json(sigma1),
-        "sigma2": _assertion_to_json(sigma2),
-        "e": _assertion_to_json(e),
-    }
-
-
-def _de_compose_correct(data: dict) -> tuple:
-    theory, varset = _space_from_json(data)
-    return (
-        _contract_from_json(data["c1"], theory, varset),
-        _contract_from_json(data["c2"], theory, varset),
-        _assertion_from_json(data["sigma1"], theory, varset),
-        _assertion_from_json(data["sigma2"], theory, varset),
-        _assertion_from_json(data["e"], theory, varset),
-    )
 
 
 # compose_lowest: composition refines every contract admitting the
@@ -607,8 +560,8 @@ def _prop_compose_lowest(ops: AlgebraOps, c1: Contract, c2: Contract, c: Contrac
     return ops.refines(ops.compose(c1, c2), c)
 
 
-def _sample_compose_lowest(rng: random.Random, config: OracleConfig) -> tuple:
-    theory, varset = _sample_space(rng, config)
+def _sample_compose_lowest(rng: random.Random) -> tuple:
+    theory, varset = _sample_space(rng)
     c1 = random_contract(rng, theory, varset)
     c2 = random_contract(rng, theory, varset)
     if rng.random() < 0.5:
@@ -628,8 +581,8 @@ def _prop_composition_commutes(ops: AlgebraOps, c1: Contract, c2: Contract) -> b
     return ops.equivalent(ops.compose(c1, c2), ops.compose(c2, c1))
 
 
-def _sample_contract_pair(rng: random.Random, config: OracleConfig) -> tuple:
-    theory, varset = _sample_space(rng, config)
+def _sample_contract_pair(rng: random.Random) -> tuple:
+    theory, varset = _sample_space(rng)
     return (random_contract(rng, theory, varset), random_contract(rng, theory, varset))
 
 
@@ -658,30 +611,9 @@ def _prop_extended_compose(union: bool):
     return prop
 
 
-def _exhaustive_inclusion_pairs(config: OracleConfig) -> list[tuple[Inclusion, Inclusion]]:
-    x, y, xy = VarSet.of("x"), VarSet.of("y"), VarSet.of("x", "y")
-    pairs = [(Inclusion(x, x), Inclusion(x, x))]
-    if state_space_size(BOOL, xy) <= config.exhaustive_cap:
-        pairs.append((Inclusion(x, xy), Inclusion(y, xy)))
-    return pairs
-
-
-def _cases_extended_compose(config: OracleConfig) -> Iterator[tuple]:
-    for inc1, inc2 in _exhaustive_inclusion_pairs(config):
-        contracts1 = _all_contracts(inc1.small)
-        contracts2 = _all_contracts(inc2.small)
-        sigmas1 = _all_assertions(inc1.small)
-        sigmas2 = _all_assertions(inc2.small)
-        for c1 in contracts1:
-            for c2 in contracts2:
-                for sigma1 in sigmas1:
-                    for sigma2 in sigmas2:
-                        yield (inc1, inc2, c1, c2, sigma1, sigma2)
-
-
-def _sample_extended_compose(rng: random.Random, config: OracleConfig) -> tuple:
+def _sample_extended_compose(rng: random.Random) -> tuple:
     theory = random_theory(rng)
-    target = random_varset(rng, theory, config.randomized_cap)
+    target = random_varset(rng, theory, _RANDOMIZED_CAP)
     small1 = VarSet(tuple(v for v in target.vars if rng.random() < 0.7))
     small2 = VarSet(tuple(v for v in target.vars if rng.random() < 0.7))
     inc1, inc2 = Inclusion(small1, target), Inclusion(small2, target)
@@ -690,34 +622,6 @@ def _sample_extended_compose(rng: random.Random, config: OracleConfig) -> tuple:
     sigma1 = _random_subset(rng, c1.max_implementation())
     sigma2 = _random_subset(rng, c2.max_implementation())
     return (inc1, inc2, c1, c2, sigma1, sigma2)
-
-
-def _ser_extended_compose(inc1, inc2, c1, c2, sigma1, sigma2) -> dict:
-    return {
-        "theory": _theory_to_json(c1.theory),
-        "d1": list(inc1.small.vars),
-        "d2": list(inc2.small.vars),
-        "target": list(inc1.large.vars),
-        "c1": _contract_to_json(c1),
-        "c2": _contract_to_json(c2),
-        "sigma1": _assertion_to_json(sigma1),
-        "sigma2": _assertion_to_json(sigma2),
-    }
-
-
-def _de_extended_compose(data: dict) -> tuple:
-    theory = _theory_from_json(data["theory"])
-    d1, d2 = VarSet(tuple(data["d1"])), VarSet(tuple(data["d2"]))
-    target = VarSet(tuple(data["target"]))
-    inc1, inc2 = Inclusion(d1, target), Inclusion(d2, target)
-    return (
-        inc1,
-        inc2,
-        _contract_from_json(data["c1"], theory, d1),
-        _contract_from_json(data["c2"], theory, d2),
-        _assertion_from_json(data["sigma1"], theory, d1),
-        _assertion_from_json(data["sigma2"], theory, d2),
-    )
 
 
 # adjunctions: exists-projection is left adjoint to extension, which is
@@ -740,49 +644,13 @@ def _prop_adjunction_forall(
     )
 
 
-def _exhaustive_inclusions(config: OracleConfig) -> list[Inclusion]:
-    x, y, xy = VarSet.of("x"), VarSet.of("y"), VarSet.of("x", "y")
-    inclusions = [Inclusion(VarSet(()), x), Inclusion(x, x)]
-    if state_space_size(BOOL, xy) <= config.exhaustive_cap:
-        inclusions.append(Inclusion(y, xy))
-    return inclusions
-
-
-def _cases_adjunction(config: OracleConfig) -> Iterator[tuple]:
-    for inc in _exhaustive_inclusions(config):
-        for a_small in _all_assertions(inc.small):
-            for a_large in _all_assertions(inc.large):
-                yield (inc, a_small, a_large)
-
-
-def _sample_adjunction(rng: random.Random, config: OracleConfig) -> tuple:
+def _sample_adjunction(rng: random.Random) -> tuple:
     theory = random_theory(rng)
-    inc = random_inclusion(rng, theory, config.randomized_cap)
+    inc = random_inclusion(rng, theory, _RANDOMIZED_CAP)
     return (
         inc,
         random_assertion(rng, theory, inc.small),
         random_assertion(rng, theory, inc.large),
-    )
-
-
-def _ser_adjunction(inc: Inclusion, a_small: Assertion, a_large: Assertion) -> dict:
-    return {
-        "theory": _theory_to_json(a_small.theory),
-        "small": list(inc.small.vars),
-        "large": list(inc.large.vars),
-        "a_small": _assertion_to_json(a_small),
-        "a_large": _assertion_to_json(a_large),
-    }
-
-
-def _de_adjunction(data: dict) -> tuple:
-    theory = _theory_from_json(data["theory"])
-    small, large = VarSet(tuple(data["small"])), VarSet(tuple(data["large"]))
-    inc = Inclusion(small, large)
-    return (
-        inc,
-        _assertion_from_json(data["a_small"], theory, small),
-        _assertion_from_json(data["a_large"], theory, large),
     )
 
 
@@ -804,22 +672,8 @@ def _prop_glbF(ops: AlgebraOps, cf1: FormulaContract, cf2: FormulaContract) -> b
     return ops.equivalent(syntactic, ops.conjoin(cf1.to_contract(), cf2.to_contract()))
 
 
-def _cases_formula_pairs(config: OracleConfig) -> Iterator[tuple]:
-    # representatives of every denotation class: the synthesized normal
-    # form of each assertion (formula operators factor through denotations)
-    for varset in _boolean_spaces(config, 2):
-        reps = [
-            FormulaContract(BOOL, varset, assertion_to_formula(a), assertion_to_formula(g))
-            for a in _all_assertions(varset)
-            for g in _all_assertions(varset)
-        ]
-        for cf1 in reps:
-            for cf2 in reps:
-                yield (cf1, cf2)
-
-
-def _sample_formula_pair(rng: random.Random, config: OracleConfig) -> tuple:
-    theory, varset = _sample_space(rng, config)
+def _sample_formula_pair(rng: random.Random) -> tuple:
+    theory, varset = _sample_space(rng)
     if not len(varset):
         varset = VarSet.of("x")
     contracts = tuple(
@@ -834,26 +688,22 @@ def _sample_formula_pair(rng: random.Random, config: OracleConfig) -> tuple:
     return contracts
 
 
-def _ser_formula_pair(cf1: FormulaContract, cf2: FormulaContract) -> dict:
-    return _space_to_json(cf1.theory, cf1.varset) | {
-        "cf1": {"A": format_formula(cf1.A), "G": format_formula(cf1.G)},
-        "cf2": {"A": format_formula(cf2.A), "G": format_formula(cf2.G)},
-    }
-
-
-def _de_formula_pair(data: dict) -> tuple:
-    theory, varset = _space_from_json(data)
-
-    def decode(part: dict) -> FormulaContract:
-        return FormulaContract(
-            theory,
-            varset,
-            parse_formula(part["A"], theory, varset),
-            parse_formula(part["G"], theory, varset),
-        )
-
-    return (decode(data["cf1"]), decode(data["cf2"]))
-
+_PAIR = (("c1", Contract, "varset"), ("c2", Contract, "varset"))
+_TRIPLE = _PAIR + (("c3", Contract, "varset"),)
+_FORMULA_PAIR = (("cf1", FormulaContract, "varset"), ("cf2", FormulaContract, "varset"))
+_EXTENDED = (
+    ("inc1", Inclusion, ("d1", "target")),
+    ("inc2", Inclusion, ("d2", "target")),
+    ("c1", Contract, "d1"),
+    ("c2", Contract, "d2"),
+    ("sigma1", Assertion, "d1"),
+    ("sigma2", Assertion, "d2"),
+)
+_ADJUNCTION = (
+    ("inc", Inclusion, ("small", "large")),
+    ("a_small", Assertion, "small"),
+    ("a_large", Assertion, "large"),
+)
 
 _REGISTRY: dict[str, _Theorem] = {
     t.name: t
@@ -861,122 +711,64 @@ _REGISTRY: dict[str, _Theorem] = {
         _Theorem(
             "saturate_sound",
             _prop_saturate_sound,
-            _cases_saturate_sound,
+            (("c", Contract, "varset"), ("state", State, "varset")),
+            _ALL,
             _sample_saturate_sound,
-            _ser_saturate_sound,
-            _de_saturate_sound,
         ),
-        _Theorem(
-            "refines_correct",
-            _prop_refines_correct,
-            _cases_contract_pairs(),
-            _sample_refining_pair,
-            _ser_contract_pair,
-            _de_contract_pair,
-        ),
-        _Theorem(
-            "glb_correct",
-            _prop_glb_correct,
-            _cases_contract_triples(2),
-            _sample_glb,
-            _ser_contract_triple,
-            _de_contract_triple,
-        ),
+        _Theorem("refines_correct", _prop_refines_correct, _PAIR, _ALL, _sample_refining_pair),
+        _Theorem("glb_correct", _prop_glb_correct, _TRIPLE, _SMALL, _sample_glb),
         _Theorem(
             "compose_correct",
             _prop_compose_correct,
-            _cases_compose_correct,
+            _PAIR + (("sigma1", Assertion, "varset"), ("sigma2", Assertion, "varset"),
+                     ("e", Assertion, "varset")),
+            _SMALL,
             _sample_compose_correct,
-            _ser_compose_correct,
-            _de_compose_correct,
         ),
-        _Theorem(
-            "compose_lowest",
-            _prop_compose_lowest,
-            _cases_contract_triples(2),
-            _sample_compose_lowest,
-            _ser_contract_triple,
-            _de_contract_triple,
-        ),
+        _Theorem("compose_lowest", _prop_compose_lowest, _TRIPLE, _SMALL, _sample_compose_lowest),
         _Theorem(
             "extended_compose_correct_union",
             _prop_extended_compose(union=True),
-            _cases_extended_compose,
+            _EXTENDED,
+            _extended_compose_spaces,
             _sample_extended_compose,
-            _ser_extended_compose,
-            _de_extended_compose,
         ),
         _Theorem(
             "extended_compose_correct_intersection",
             _prop_extended_compose(union=False),
-            _cases_extended_compose,
+            _EXTENDED,
+            _extended_compose_spaces,
             _sample_extended_compose,
-            _ser_extended_compose,
-            _de_extended_compose,
         ),
         _Theorem(
             "adjunction_exists",
             _prop_adjunction_exists,
-            _cases_adjunction,
+            _ADJUNCTION,
+            _adjunction_spaces,
             _sample_adjunction,
-            _ser_adjunction,
-            _de_adjunction,
         ),
         _Theorem(
             "adjunction_forall",
             _prop_adjunction_forall,
-            _cases_adjunction,
+            _ADJUNCTION,
+            _adjunction_spaces,
             _sample_adjunction,
-            _ser_adjunction,
-            _de_adjunction,
+        ),
+        _Theorem("refinesF_correct", _prop_refinesF, _FORMULA_PAIR, _SMALL, _sample_formula_pair),
+        _Theorem("composeF_correct", _prop_composeF, _FORMULA_PAIR, _SMALL, _sample_formula_pair),
+        _Theorem("glbF_correct", _prop_glbF, _FORMULA_PAIR, _SMALL, _sample_formula_pair),
+        _Theorem(
+            "refinement_order_laws", _prop_order_laws, _TRIPLE, _SMALL, _sample_contract_chain
         ),
         _Theorem(
-            "refinesF_correct",
-            _prop_refinesF,
-            _cases_formula_pairs,
-            _sample_formula_pair,
-            _ser_formula_pair,
-            _de_formula_pair,
-        ),
-        _Theorem(
-            "composeF_correct",
-            _prop_composeF,
-            _cases_formula_pairs,
-            _sample_formula_pair,
-            _ser_formula_pair,
-            _de_formula_pair,
-        ),
-        _Theorem(
-            "glbF_correct",
-            _prop_glbF,
-            _cases_formula_pairs,
-            _sample_formula_pair,
-            _ser_formula_pair,
-            _de_formula_pair,
-        ),
-        _Theorem(
-            "refinement_order_laws",
-            _prop_order_laws,
-            _cases_contract_triples(2),
-            _sample_contract_chain,
-            _ser_contract_triple,
-            _de_contract_triple,
-        ),
-        _Theorem(
-            "composition_commutes",
-            _prop_composition_commutes,
-            _cases_contract_pairs(),
-            _sample_contract_pair,
-            _ser_contract_pair,
-            _de_contract_pair,
+            "composition_commutes", _prop_composition_commutes, _PAIR, _ALL, _sample_contract_pair
         ),
         _Theorem(
             "saturation_idempotent",
             _prop_saturation_idempotent,
-            _cases_contracts,
+            (("c", Contract, "varset"),),
+            _ALL,
             _sample_contract,
-            _ser_contract,
-            _de_contract,
         ),
     ]
 }
@@ -1012,25 +804,17 @@ def check_theorem(
         raise KeyError(f"unknown theorem {name!r} (known: {known})") from None
 
     if config.trials == 0:
-        tier = "exhaustive"
-        checked = 0
-        counterexample = None
-        for objs in theorem.cases(config):
-            checked += 1
-            if not theorem.prop(ops, *objs):
-                counterexample = theorem.serialize(*objs)
-                break
+        tier, instances = "exhaustive", theorem.cases(config)
     else:
         tier = "randomized"
-        checked = 0
-        counterexample = None
-        for index in range(config.trials):
-            rng = _trial_rng(config.seed, index)
-            objs = theorem.sample(rng, config)
-            checked += 1
-            if not theorem.prop(ops, *objs):
-                counterexample = theorem.serialize(*objs)
-                break
+        instances = (theorem.sample(_trial_rng(config.seed, i)) for i in range(config.trials))
+    checked = 0
+    counterexample = None
+    for objs in instances:
+        checked += 1
+        if not theorem.prop(ops, *objs):
+            counterexample = theorem.serialize(objs)
+            break
 
     verdict = "pass" if counterexample is None else "fail"
     return CheckReport(name, tier, checked, verdict, counterexample)

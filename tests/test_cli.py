@@ -357,3 +357,40 @@ def test_module_invocation_wiring():
     )
     assert proc.returncode == 0
     assert proc.stdout.endswith("true\n")
+
+
+#: ``agc oracle`` invocations and their golden stdout files.
+ORACLE_GOLDEN_CASES = [
+    ("oracle_exhaustive_cap2", ["--trials", "0", "--exhaustive-cap", "2", "--json"]),
+    ("oracle_seed0_trials200", ["--seed", "0", "--trials", "200", "--json"]),
+]
+
+
+@pytest.mark.parametrize("name, args", ORACLE_GOLDEN_CASES)
+def test_oracle_golden_outputs(name, args, capsys):
+    assert main(["oracle", *args]) == 0
+    assert capsys.readouterr().out == (GOLDENS / f"{name}.txt").read_text(encoding="utf-8")
+
+
+_WIDE = ", ".join(f"w{i:02d}" for i in range(11))
+
+#: Inputs that recurse past the interpreter's limit: printing the 1,024-state
+#: guarantee of an 11-variable saturation, parsing 1,200 nested parentheses,
+#: and validating a 1,200-term conjunction chain.
+DEEP_CASES = [
+    ("wide_saturate", f"contract C over {_WIDE} {{ assume: w00 guarantee: false }}"),
+    ("nested_parens", f"contract C over x {{ assume: {'(' * 1200}x{')' * 1200} guarantee: true }}"),
+    ("long_chain", f"contract C over x {{ assume: {' & '.join(['x'] * 1200)} guarantee: true }}"),
+]
+
+
+@pytest.mark.parametrize("name, body", DEEP_CASES)
+def test_too_deep_input_exits_two_without_traceback(name, body, tmp_path, capsys):
+    spec = tmp_path / f"{name}.agc"
+    spec.write_text(f"theory {{ values: 0, 1 }}\n{body}\n")
+    for extra in ([], ["--json"]):
+        assert main([str(spec), "saturate", "C", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1

@@ -15,6 +15,7 @@ from agcontracts.oracle import (
     AlgebraOps,
     CheckReport,
     OracleConfig,
+    _REGISTRY,
     check_theorem,
     enumerate_assertions,
     enumerate_contracts,
@@ -254,3 +255,12 @@ def test_failed_counterexamples_survive_json_round_trip():
     blob = json.dumps(report.to_dict())
     revived = CheckReport(**json.loads(blob))
     assert replay_counterexample(revived) is False
+
+
+@pytest.mark.parametrize("name", THEOREM_NAMES)
+def test_sampled_instances_survive_codec_round_trip(name):
+    theorem = _REGISTRY[name]
+    for index in range(25):
+        objs = theorem.sample(random.Random(index))
+        blob = json.dumps(theorem.serialize(objs))
+        assert theorem.deserialize(json.loads(blob)) == objs
