@@ -5,6 +5,9 @@ contained in another. Along an inclusion, states project by restriction
 and extend to fibers; assertions project existentially (image) or
 universally (states whose whole fiber is inside) and extend by inverse
 image. The two projections are the left and right adjoints of extension.
+All three read one table, the fiber over each small state as a meet of
+atom masks: a fiber meets ``a`` (exists), lies inside ``a`` (forall), or
+joins the image (extension).
 
 Contracts project as (forall-projection of A, exists-projection of G) and
 extend componentwise, both after saturation. Variable elimination is
@@ -16,7 +19,8 @@ common target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 from typing import Iterable
 
 from agcontracts.core import (
@@ -26,7 +30,8 @@ from agcontracts.core import (
     VarSet,
     VarSetMismatchError,
     _check_cap,
-    _radix_weights,
+    atom_mask,
+    enumerate_states,
     state_space_size,
 )
 from agcontracts.contracts import Contract
@@ -55,30 +60,14 @@ class Inclusion:
 
 
 @lru_cache(maxsize=None)
-def _projection_indices(theory: Theory, small: VarSet, large: VarSet) -> tuple[int, ...]:
-    # small-state index of each large state, by digit arithmetic
-    size = state_space_size(theory, large)
-    _check_cap(size, None)
-    base = len(theory.values)
-    large_weights = _radix_weights(theory, large)
-    small_weights = _radix_weights(theory, small)
-    pairs = [
-        (large_weights[large.position(v)], small_weights[i])
-        for i, v in enumerate(small.vars)
-    ]
-    table = []
-    for idx in range(size):
-        table.append(sum(idx // lw % base * sw for lw, sw in pairs))
-    return tuple(table)
-
-
-@lru_cache(maxsize=None)
 def _fiber_masks(theory: Theory, small: VarSet, large: VarSet) -> tuple[int, ...]:
-    # bit vector of the fiber over each small state
-    masks = [0] * state_space_size(theory, small)
-    for large_index, small_index in enumerate(_projection_indices(theory, small, large)):
-        masks[small_index] |= 1 << large_index
-    return tuple(masks)
+    # the fiber over each small state: the meet of its atom masks over the large space
+    _check_cap(state_space_size(theory, large))
+    full = Assertion.full(theory, large).bits
+    return tuple(
+        reduce(and_, (atom_mask(theory, large, *atom) for atom in zip(small.vars, s.values)), full)
+        for s in enumerate_states(theory, small)
+    )
 
 
 def _require_over(varset: VarSet, value: State | Assertion, side: str) -> None:
@@ -112,24 +101,21 @@ def extend_state(state: State, inc: Inclusion) -> Assertion:
 
 
 def project_assertion_exists(a: Assertion, inc: Inclusion) -> Assertion:
-    """Image under projection: small states with some extension in ``a``."""
+    """Image under projection: small states whose fiber meets ``a``."""
     _require_over(inc.large, a, "large")
-    table = _projection_indices(a.theory, inc.small, inc.large)
-    bits = 0
-    for i in a.indices():
-        bits |= 1 << table[i]
-    return Assertion(a.theory, inc.small, bits)
+    masks = _fiber_masks(a.theory, inc.small, inc.large)
+    return Assertion.from_indices(
+        a.theory, inc.small, (i for i, mask in enumerate(masks) if a.bits & mask)
+    )
 
 
 def project_assertion_forall(a: Assertion, inc: Inclusion) -> Assertion:
-    """Small states whose every extension lies in ``a``."""
+    """Small states whose fiber lies inside ``a``."""
     _require_over(inc.large, a, "large")
     masks = _fiber_masks(a.theory, inc.small, inc.large)
-    bits = 0
-    for small_index, mask in enumerate(masks):
-        if a.bits & mask == mask:
-            bits |= 1 << small_index
-    return Assertion(a.theory, inc.small, bits)
+    return Assertion.from_indices(
+        a.theory, inc.small, (i for i, mask in enumerate(masks) if a.bits & mask == mask)
+    )
 
 
 def extend_assertion(a: Assertion, inc: Inclusion) -> Assertion:

@@ -553,12 +553,12 @@ def _oracle_main(args: list[str]) -> int:
     try:
         ns = parser.parse_args(args)
         config = OracleConfig(seed=ns.seed, trials=ns.trials, exhaustive_cap=ns.exhaustive_cap)
+        reports = run_all_checks(config)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    reports = run_all_checks(config)
     print(reports_to_json(reports) if ns.json else reports_to_table(reports))
     failed = [
         r.theorem

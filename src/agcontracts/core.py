@@ -5,7 +5,9 @@ tuple of identifiers, and a state is a total valuation of those variables.
 States are numbered in mixed-radix order (first variable is the most
 significant digit), and an assertion over a variable set is stored as a
 bit vector indexed by state number, so membership, subset, equality, and
-the boolean set operators are exact integer operations.
+the boolean set operators are exact integer operations. Formulas and
+alphabet maps build their sets from atom masks (the states where
+``var = value``), so only this module knows the numbering.
 
 Everything here is immutable and hashable and may be shared freely across
 threads.
@@ -28,7 +30,7 @@ class VarSetMismatchError(ValueError):
 
 
 class EnumerationCapError(ValueError):
-    """An operation would enumerate more states than the configured cap."""
+    """An operation would enumerate more than :data:`DEFAULT_STATE_CAP` items."""
 
     def __init__(self, required: int, cap: int):
         super().__init__(f"state space has {required} states, enumeration cap is {cap}")
@@ -52,10 +54,9 @@ class UnknownLiteralError(ValueError):
         self.position = position
 
 
-def _check_cap(required: int, cap: int | None) -> None:
-    effective = DEFAULT_STATE_CAP if cap is None else cap
-    if required > effective:
-        raise EnumerationCapError(required, effective)
+def _check_cap(required: int) -> None:
+    if required > DEFAULT_STATE_CAP:
+        raise EnumerationCapError(required, DEFAULT_STATE_CAP)
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,19 +233,29 @@ class State:
         return "(" + pairs + ")"
 
 
-def enumerate_states(
-    theory: Theory, varset: VarSet, cap: int | None = None
-) -> Iterator[State]:
+def enumerate_states(theory: Theory, varset: VarSet) -> Iterator[State]:
     """Yield every state over ``varset`` once, in mixed-radix order.
 
     The position of a state in this sequence is its state index. Raises
     :class:`EnumerationCapError` before yielding anything if the space
-    exceeds the cap.
+    exceeds :data:`DEFAULT_STATE_CAP`.
     """
     size = state_space_size(theory, varset)
-    _check_cap(size, cap)
+    _check_cap(size)
     for i in range(size):
         yield State.from_index(theory, varset, i)
+
+
+@lru_cache(maxsize=None)
+def atom_mask(theory: Theory, varset: VarSet, var: str, value: Value) -> int:
+    """Bit vector of the states where ``var = value``: for a variable of
+    radix weight ``w``, a run of ``w`` set bits every ``w * |values|`` bits."""
+    weight = _radix_weights(theory, varset)[varset.position(var)]
+    if value not in theory.values:
+        raise UnknownLiteralError(f"value {value!r} not in domain of theory {theory.name!r}")
+    run = ((1 << weight) - 1) << theory.values.index(value) * weight
+    period = weight * len(theory.values)
+    return run * (((1 << state_space_size(theory, varset)) - 1) // ((1 << period) - 1))
 
 
 def _require_same_space(a, b) -> None:
@@ -309,11 +320,10 @@ class Assertion:
         theory: Theory,
         varset: VarSet,
         predicate: Callable[[State], bool],
-        cap: int | None = None,
     ) -> "Assertion":
         """The set of states satisfying a total decision procedure."""
         bits = 0
-        for s in enumerate_states(theory, varset, cap):
+        for s in enumerate_states(theory, varset):
             if predicate(s):
                 bits |= 1 << s.index
         return cls(theory, varset, bits)

@@ -6,7 +6,10 @@ the falsity constant, and bare boolean variables are parser sugar that
 normalizes into the core constructors, so consumers only ever pattern
 match on four node kinds.
 
-Formulas denote assertions (the set of states where they evaluate true).
+A formula denotes the assertion its connectives build in the Boolean
+algebra of assertions: a fold mapping ``true`` to the full set, an atom
+to its atom mask, ``!`` to complement and ``&`` to meet, once per
+distinct node. Truth in a state is membership in the denotation.
 Formula-level contracts mirror the set-level operators syntactically,
 with saturation spelled ``!A | G``; refinement is decided semantically by
 checking validity through the denotation.
@@ -31,7 +34,10 @@ from agcontracts.core import (
     UnknownVariableError,
     Value,
     VarSet,
+    _check_cap,
     _require_same_space,
+    atom_mask,
+    state_space_size,
 )
 from agcontracts.contracts import Contract
 
@@ -77,13 +83,19 @@ def Implies(left: Formula, right: Formula) -> Formula:
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    yield f
-    match f:
-        case Not(child):
-            yield from subformulas(child)
-        case And(left, right):
-            yield from subformulas(left)
-            yield from subformulas(right)
+    """Each distinct node of ``f`` once, by identity, parents first."""
+    seen: set[int] = set()
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            yield node
+            match node:
+                case Not(child):
+                    stack.append(child)
+                case And(left, right):
+                    stack += (right, left)
 
 
 def check_formula(f: Formula, theory: Theory, varset: VarSet) -> None:
@@ -100,25 +112,32 @@ def check_formula(f: Formula, theory: Theory, varset: VarSet) -> None:
 
 
 def evaluate(f: Formula, state: State) -> bool:
-    """Truth value of ``f`` in one state."""
-    match f:
-        case TT():
-            return True
-        case Atom(var, value):
-            return state[var] == value
-        case Not(child):
-            return not evaluate(child, state)
-        case And(left, right):
-            return evaluate(left, state) and evaluate(right, state)
-    raise TypeError(f"not a formula node: {f!r}")
+    """Truth value of ``f`` in one state: membership in its denotation."""
+    return formula_to_assertion(f, state.theory, state.varset).contains(state)
 
 
-def formula_to_assertion(
-    f: Formula, theory: Theory, varset: VarSet, cap: int | None = None
-) -> Assertion:
-    """The set of states where ``f`` holds."""
-    check_formula(f, theory, varset)
-    return Assertion.from_predicate(theory, varset, lambda s: evaluate(f, s), cap)
+def formula_to_assertion(f: Formula, theory: Theory, varset: VarSet) -> Assertion:
+    """The set of states where ``f`` holds; atom lookups validate atoms."""
+    _check_cap(state_space_size(theory, varset))
+    full = Assertion.full(theory, varset).bits
+    denoted: dict[int, int] = {}
+
+    def denote(node: Formula) -> int:
+        if id(node) not in denoted:
+            match node:
+                case TT():
+                    denoted[id(node)] = full
+                case Atom(var, value):
+                    denoted[id(node)] = atom_mask(theory, varset, var, value)
+                case Not(child):
+                    denoted[id(node)] = denote(child) ^ full
+                case And(left, right):
+                    denoted[id(node)] = denote(left) & denote(right)
+                case _:
+                    raise TypeError(f"not a formula node: {node!r}")
+        return denoted[id(node)]
+
+    return Assertion(theory, varset, denote(f))
 
 
 def assertion_to_formula(a: Assertion) -> Formula:
@@ -326,14 +345,14 @@ class FormulaContract:
         check_formula(self.A, self.theory, self.varset)
         check_formula(self.G, self.theory, self.varset)
 
-    def to_contract(self, cap: int | None = None) -> Contract:
+    def to_contract(self) -> Contract:
         """The set-level contract this denotes."""
         return Contract(
-            formula_to_assertion(self.A, self.theory, self.varset, cap),
-            formula_to_assertion(self.G, self.theory, self.varset, cap),
+            formula_to_assertion(self.A, self.theory, self.varset),
+            formula_to_assertion(self.G, self.theory, self.varset),
         )
 
-    def refines(self, other: "FormulaContract", cap: int | None = None) -> bool:
+    def refines(self, other: "FormulaContract") -> bool:
         """Refinement decided through the denotation: both implications
         must be valid."""
         _require_same_space(self, other)
@@ -341,8 +360,8 @@ class FormulaContract:
         weaker_assumption = Implies(other.A, self.A)
         stronger_guarantee = Implies(_saturated_guarantee(self), _saturated_guarantee(other))
         return (
-            formula_to_assertion(weaker_assumption, self.theory, self.varset, cap) == full
-            and formula_to_assertion(stronger_guarantee, self.theory, self.varset, cap) == full
+            formula_to_assertion(weaker_assumption, self.theory, self.varset) == full
+            and formula_to_assertion(stronger_guarantee, self.theory, self.varset) == full
         )
 
     def conjoin(self, other: "FormulaContract") -> "FormulaContract":

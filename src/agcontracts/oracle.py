@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,12 +31,11 @@ from typing import Callable, Iterable, Iterator
 
 from agcontracts.core import (
     BOOL,
-    DEFAULT_STATE_CAP,
     Assertion,
-    EnumerationCapError,
     State,
     Theory,
     VarSet,
+    _check_cap,
     enumerate_states,
     state_space_size,
 )
@@ -72,6 +72,10 @@ _RANDOMIZED_CAP = 64
 # implementation and provision are downward closed)
 _INNER_SUBSET_LIMIT = 16
 _INNER_TRIPLE_LIMIT = 4
+
+#: most instances one exhaustive sweep may take: about eight minutes at
+#: twenty thousand instances a second
+_EXHAUSTIVE_BUDGET = 10**7
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,28 +141,19 @@ DEFAULT_OPS = AlgebraOps.standard()
 # -- enumeration ---------------------------------------------------------------
 
 
-def enumerate_assertions(
-    theory: Theory, varset: VarSet, limit: int | None = None
-) -> Iterator[Assertion]:
+def enumerate_assertions(theory: Theory, varset: VarSet) -> Iterator[Assertion]:
     """All assertions over the space, in bit-vector numeric order."""
     count = 1 << state_space_size(theory, varset)
-    effective = DEFAULT_STATE_CAP if limit is None else limit
-    if count > effective:
-        raise EnumerationCapError(count, effective)
+    _check_cap(count)
     for bits in range(count):
         yield Assertion(theory, varset, bits)
 
 
-def enumerate_contracts(
-    theory: Theory, varset: VarSet, limit: int | None = None
-) -> Iterator[Contract]:
+def enumerate_contracts(theory: Theory, varset: VarSet) -> Iterator[Contract]:
     """All contracts over the space: the cartesian square of the
     assertion enumeration, assumption varying slowest."""
-    count = (1 << state_space_size(theory, varset)) ** 2
-    effective = DEFAULT_STATE_CAP if limit is None else limit
-    if count > effective:
-        raise EnumerationCapError(count, effective)
-    pool = list(enumerate_assertions(theory, varset, limit))
+    _check_cap((1 << state_space_size(theory, varset)) ** 2)
+    pool = list(enumerate_assertions(theory, varset))
     for a in pool:
         for g in pool:
             yield Contract(a, g)
@@ -268,6 +263,16 @@ class _Theorem:
                 )
             )
 
+    def count(self, config: OracleConfig) -> int:
+        """Number of exhaustive instances, from the signature and spaces alone."""
+        return sum(
+            math.prod(
+                1 if kind is Inclusion else _pool_size(kind, spaces[space])
+                for _, kind, space in self.signature
+            )
+            for spaces in self.spaces(config)
+        )
+
     def serialize(self, objs: tuple) -> dict:
         """The JSON form of one instance: the theory, each variable set
         under its space key, and each argument under its own key."""
@@ -332,6 +337,12 @@ def _exhaustive_pool(kind: type, varset: VarSet) -> list:
         FormulaContract(BOOL, varset, assertion_to_formula(c.A), assertion_to_formula(c.G))
         for c in contracts
     ]
+
+
+def _pool_size(kind: type, varset: VarSet) -> int:
+    """Length of :func:`_exhaustive_pool` for ``kind`` over ``varset``."""
+    states = state_space_size(BOOL, varset)
+    return {State: states, Assertion: 2**states}.get(kind, 4**states)
 
 
 def _boolean_spaces(most_states: int = 2 ** len(_VAR_POOL)) -> Callable[..., list[dict]]:
@@ -787,6 +798,19 @@ def _trial_rng(seed: int, index: int) -> random.Random:
     return random.Random(seed * 1_000_003 + index)
 
 
+def _lookup(name: str, config: OracleConfig) -> _Theorem:
+    """The theorem ``name``, refused if its exhaustive tier is over budget."""
+    if name not in _REGISTRY:
+        raise KeyError(f"unknown theorem {name!r} (known: {', '.join(THEOREM_NAMES)})")
+    count = _REGISTRY[name].count(config) if config.trials == 0 else 0
+    if count > _EXHAUSTIVE_BUDGET:
+        raise ValueError(
+            f"the exhaustive tier of {name} has {count} instances, "
+            f"over the budget of {_EXHAUSTIVE_BUDGET}"
+        )
+    return _REGISTRY[name]
+
+
 def check_theorem(
     name: str, config: OracleConfig, ops: AlgebraOps = DEFAULT_OPS
 ) -> CheckReport:
@@ -795,14 +819,10 @@ def check_theorem(
     With ``trials == 0`` the check is exhaustive over every instance
     within the configured state-space cap (some theorems confine
     themselves further, see the registry); otherwise it runs seeded
-    randomized trials. The sweep stops at the first counterexample.
+    randomized trials. The sweep stops at the first counterexample, and
+    one over the exhaustive instance budget is refused before it starts.
     """
-    try:
-        theorem = _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(THEOREM_NAMES)
-        raise KeyError(f"unknown theorem {name!r} (known: {known})") from None
-
+    theorem = _lookup(name, config)
     if config.trials == 0:
         tier, instances = "exhaustive", theorem.cases(config)
     else:
@@ -825,8 +845,11 @@ def run_all_checks(
     ops: AlgebraOps = DEFAULT_OPS,
     names: Iterable[str] | None = None,
 ) -> list[CheckReport]:
-    """Check every registered theorem (or a selection) in registry order."""
+    """Check every registered theorem (or a selection) in registry order,
+    refusing the run before any check if one is over budget."""
     selected = THEOREM_NAMES if names is None else tuple(names)
+    for name in selected:
+        _lookup(name, config)
     return [check_theorem(name, config, ops) for name in selected]
 
 

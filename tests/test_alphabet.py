@@ -12,6 +12,7 @@ from agcontracts.core import (
     BOOL,
     Assertion,
     State,
+    Theory,
     VarSet,
     VarSetMismatchError,
     enumerate_states,
@@ -38,6 +39,7 @@ XY = VarSet.of("x", "y")
 XYZ = VarSet.of("x", "y", "z")
 Y_IN_XY = Inclusion(Y, XY)
 Y_IN_XYZ = Inclusion(Y, XYZ)
+T3 = Theory(values=(0, 1, 2), name="ternary")
 
 
 def oracle_project(state: State, inc: Inclusion) -> State:
@@ -69,9 +71,9 @@ def oracle_extend(a: Assertion, inc: Inclusion) -> Assertion:
     )
 
 
-def assertions_over(varset: VarSet) -> list[Assertion]:
-    size = state_space_size(BOOL, varset)
-    return [Assertion(BOOL, varset, bits) for bits in range(1 << size)]
+def assertions_over(varset: VarSet, theory: Theory = BOOL) -> list[Assertion]:
+    size = state_space_size(theory, varset)
+    return [Assertion(theory, varset, bits) for bits in range(1 << size)]
 
 
 def contracts_over(varset: VarSet) -> list[Contract]:
@@ -150,12 +152,17 @@ def test_fiber_size_is_free_variable_count():
 
 
 def test_assertion_maps_match_oracle_exhaustive():
-    inc = Y_IN_XYZ
-    for a in assertions_over(XYZ):
-        assert project_assertion_exists(a, inc) == oracle_exists(a, inc)
-        assert project_assertion_forall(a, inc) == oracle_forall(a, inc)
-    for a in assertions_over(Y):
-        assert extend_assertion(a, inc) == oracle_extend(a, inc)
+    for theory, inc in [
+        (BOOL, Y_IN_XYZ),
+        (BOOL, Inclusion(VarSet.of("x", "z"), XYZ)),
+        (BOOL, Inclusion(VarSet(()), XY)),
+        (T3, Y_IN_XY),
+    ]:
+        for a in assertions_over(inc.large, theory):
+            assert project_assertion_exists(a, inc) == oracle_exists(a, inc)
+            assert project_assertion_forall(a, inc) == oracle_forall(a, inc)
+        for a in assertions_over(inc.small, theory):
+            assert extend_assertion(a, inc) == oracle_extend(a, inc)
 
 
 def test_exists_projection_frozen_cases():

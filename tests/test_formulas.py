@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given
@@ -163,6 +164,12 @@ def test_evaluate_basics():
     assert not evaluate(Implies(Atom("x", 1), Atom("y", 1)), s)
 
 
+def test_evaluate_validates_atoms():
+    s = State.from_mapping(BOOL, XY, {"x": 1, "y": 0})
+    with pytest.raises(UnknownLiteralError):
+        evaluate(Atom("x", 9), s)
+
+
 @given(formulas_xy)
 def test_evaluate_matches_dict_oracle(f):
     for s in enumerate_states(BOOL, XY):
@@ -293,6 +300,19 @@ def test_compose_agrees_with_set_level(cf1, cf2):
     syntactic = cf1.compose(cf2).to_contract()
     semantic = cf1.to_contract().compose(cf2.to_contract())
     assert syntactic.equivalent_to(semantic)
+
+
+def test_long_compose_chain_stays_linear():
+    # each step shares the previous operands instead of copying them, so
+    # validation and denotation must visit every shared node once
+    start = time.perf_counter()
+    base = fc("x", "y")
+    chain, expected = base, base.to_contract()
+    for _ in range(40):
+        chain = chain.compose(base)
+        expected = expected.compose(base.to_contract())
+    assert chain.to_contract().equivalent_to(expected)
+    assert time.perf_counter() - start < 1.0
 
 
 @given(contract_f, contract_f)

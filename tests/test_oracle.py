@@ -107,10 +107,12 @@ def test_enumerate_contracts_counts_and_closure():
 
 
 def test_enumeration_respects_limit():
+    # 2^32 assertions over five boolean variables and 2^32 contracts over
+    # four exceed the default cap of 2^20; neither is built
     with pytest.raises(EnumerationCapError):
-        list(enumerate_assertions(BOOL, XY, limit=8))
+        next(enumerate_assertions(BOOL, VarSet.of("a", "b", "c", "d", "e")))
     with pytest.raises(EnumerationCapError):
-        list(enumerate_contracts(BOOL, XY, limit=100))
+        next(enumerate_contracts(BOOL, VarSet.of("a", "b", "c", "d")))
 
 
 # -- randomized generation -----------------------------------------------------------
@@ -157,6 +159,23 @@ def test_unknown_theorem_is_rejected():
 def test_exhaustive_instance_counts_at_two_states():
     assert check_theorem("saturate_sound", SMALL).instances == 32  # 2 states x 16 contracts
     assert check_theorem("refines_correct", SMALL).instances == 256  # 16 x 16 pairs
+
+
+@pytest.mark.parametrize("cap", [2, 4])
+def test_exhaustive_instances_match_declared_counts(cap):
+    config = OracleConfig(trials=0, exhaustive_cap=cap)
+    for report in run_all_checks(config):
+        if report.verdict == "pass":
+            assert report.instances == _REGISTRY[report.theorem].count(config), report.theorem
+
+
+def test_exhaustive_sweep_over_budget_is_refused_up_front():
+    config = OracleConfig(trials=0, exhaustive_cap=8)
+    assert _REGISTRY["refines_correct"].count(config) == 4_295_033_088
+    with pytest.raises(ValueError, match="refines_correct has 4295033088 instances"):
+        run_all_checks(config)
+    # the budget bounds only the exhaustive tier
+    assert check_theorem("refines_correct", OracleConfig(trials=5, exhaustive_cap=8)).instances == 5
 
 
 def test_all_asserted_theorems_pass_small_exhaustive():
